@@ -232,61 +232,29 @@ type Workload struct {
 	// each flow of the pattern starts after an exponential delay drawn at
 	// this rate. 0 starts everything at t=0.
 	Lambda float64
-	// Repeat replays the pattern this many times (default 1).
-	Repeat int
+}
+
+// AddFlows adds one flow per pattern entry to sim, in pattern order,
+// drawing each flow's start time and then its size from rng. It is the
+// one flow-drawing loop: RunWorkload and the scenario engine both use it,
+// so equal (workload, rng seed) pairs always yield identical flows.
+func (wl Workload) AddFlows(sim *netsim.Sim, rng *rand.Rand) {
+	for _, fl := range wl.Pattern.Flows {
+		var start netsim.Time
+		if wl.Lambda > 0 {
+			start = netsim.Time(traffic.ExpInterarrival(rng, wl.Lambda) * 1e9)
+		}
+		size := int64(1 << 20)
+		if wl.FlowSize != nil {
+			size = wl.FlowSize(rng)
+		}
+		sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: size, Start: start})
+	}
 }
 
 // RunWorkload simulates the workload and returns per-flow results.
 func (f *Fabric) RunWorkload(simCfg netsim.Config, wl Workload, horizon netsim.Time, seed int64) []netsim.FlowResult {
-	rng := graph.NewRand(seed)
 	sim := f.NewSimulation(simCfg)
-	repeat := wl.Repeat
-	if repeat < 1 {
-		repeat = 1
-	}
-	for rep := 0; rep < repeat; rep++ {
-		for _, fl := range wl.Pattern.Flows {
-			var start netsim.Time
-			if wl.Lambda > 0 {
-				start = netsim.Time(traffic.ExpInterarrival(rng, wl.Lambda) * 1e9)
-			}
-			size := int64(1 << 20)
-			if wl.FlowSize != nil {
-				size = wl.FlowSize(rng)
-			}
-			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: size, Start: start})
-		}
-	}
+	wl.AddFlows(sim, graph.NewRand(seed))
 	return sim.Run(horizon)
-}
-
-// RunStencilRounds simulates a bulk-synchronous stencil: each round all
-// pattern flows execute and a barrier waits for the slowest (Fig 17's
-// "stencil + barrier" workload). Rounds run in separate simulations (the
-// barrier drains the network between rounds); the returned total is the
-// sum over rounds of the slowest flow's completion time. The bool reports
-// whether every flow of every round completed within the per-round horizon.
-func (f *Fabric) RunStencilRounds(simCfg netsim.Config, p traffic.Pattern, flowBytes int64, rounds int, horizon netsim.Time, seed int64) (netsim.Time, bool) {
-	var total netsim.Time
-	ok := true
-	for r := 0; r < rounds; r++ {
-		sim := f.NewSimulation(simCfg)
-		for _, fl := range p.Flows {
-			sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: flowBytes, Start: 0})
-		}
-		res := sim.Run(horizon)
-		var worst netsim.Time
-		for _, fr := range res {
-			if !fr.Done {
-				ok = false
-				worst = horizon
-				break
-			}
-			if fr.FCT() > worst {
-				worst = fr.FCT()
-			}
-		}
-		total += worst
-	}
-	return total, ok
 }

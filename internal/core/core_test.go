@@ -174,18 +174,6 @@ func TestRunWorkloadPoisson(t *testing.T) {
 	}
 }
 
-func TestRunStencilRounds(t *testing.T) {
-	fab := buildSF(t, 5, Config{NumLayers: 4, Rho: 0.7, Scheme: RandomSampling, Seed: 14})
-	pat := traffic.Stencil2D(fab.Topo.N(), []int{1, 17})
-	total, ok := fab.RunStencilRounds(netsim.NDPDefaults(), pat, 32<<10, 3, 2*netsim.Second, 15)
-	if !ok {
-		t.Fatal("stencil rounds did not complete")
-	}
-	if total <= 0 {
-		t.Fatal("total time must be positive")
-	}
-}
-
 func TestRunWorkloadMPTCP(t *testing.T) {
 	fab := buildSF(t, 5, Config{NumLayers: 4, Rho: 0.7, Scheme: RandomSampling, Seed: 21})
 	pat := traffic.RandomPermutation(graph.NewRand(22), fab.Topo.N())

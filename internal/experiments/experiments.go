@@ -5,11 +5,13 @@
 // mode (the default for `go test`) uses the small size class and reduced
 // sample counts; cmd/experiments can run the paper-scale variants.
 //
-// Every runner decomposes into independent cells — one topology / routing /
-// transport / seed combination each — fanned out over a worker pool
-// (internal/exec) and merged in canonical order. Cells draw all randomness
-// from seeds folded out of (Options.Seed, cell index), so a runner's output
-// is byte-identical for every Parallelism value.
+// Every runner decomposes into independent cells fanned out over a worker
+// pool (internal/exec) and merged in canonical order. Simulation runners
+// state their cells as scenario specs (internal/scenario), which seed every
+// topology, layer set, pattern, and workload from Options.Seed folded with
+// the canonical key of that resource; analytic runners use runCells, which
+// seeds each cell from Options.Seed folded with the cell index. Either
+// way a runner's output is byte-identical for every Parallelism value.
 package experiments
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/obs"
@@ -36,8 +37,8 @@ type Options struct {
 	// Parallelism is the number of worker goroutines fanning an
 	// experiment's independent cells out over cores. 0 selects
 	// runtime.GOMAXPROCS(0); 1 runs serially. Output is byte-identical for
-	// every value: cells derive their RNGs from (Seed, cell index) alone
-	// and rows merge in canonical cell order.
+	// every value: cells derive their RNGs from Seed and their own
+	// coordinates alone, and rows merge in canonical cell order.
 	Parallelism int
 	// Shards is the per-simulation event-loop shard count (see
 	// netsim.Config.Shards): cell-level parallelism fans cells over
@@ -61,18 +62,12 @@ type Options struct {
 	// first to acquire it records its event loop (one bounded window per
 	// process).
 	Tracer *obs.Tracer
-	// CacheDir, when non-empty, backs scenario-driven experiments with the
+	// CacheDir, when non-empty, backs the simulation experiments with the
 	// content-addressed result cache (see internal/scenario.Cache): cells
 	// already computed under the same canonical identity, seed, and engine
 	// fingerprint are read back instead of re-simulated. Output is
 	// byte-identical with or without it, by the determinism contract.
 	CacheDir string
-}
-
-// coreCfg assembles the layer configuration for a runner's fabric build,
-// carrying the run's seed and instrumentation registry.
-func (o Options) coreCfg(layers int, rho float64) core.Config {
-	return core.Config{NumLayers: layers, Rho: rho, Seed: o.Seed, Shards: o.Shards, Obs: o.Obs, Tracer: o.Tracer}
 }
 
 func (o Options) workers() int {
@@ -120,16 +115,14 @@ func ids() []string {
 	return out
 }
 
-// Cell is one independent unit of an experiment: it owns a seed folded from
-// (Options.Seed, Index), a private RNG derived from that seed, and a row
-// sink whose rows are appended to the experiment table in cell-index order.
-// A cell must not touch any mutable state shared with other cells.
+// Cell is one independent unit of an experiment: it owns a private RNG
+// seeded from (Options.Seed, Index) and a row sink whose rows are appended
+// to the experiment table in cell-index order. A cell must not touch any
+// mutable state shared with other cells.
 type Cell struct {
 	Index int
-	// Seed is exec.FoldSeed(Options.Seed, Index): use it to seed nested
-	// deterministic machinery (simulations, fabrics).
-	Seed int64
-	// Rng is seeded with Seed and private to the cell.
+	// Rng is seeded with exec.FoldSeed(Options.Seed, Index) and private to
+	// the cell.
 	Rng *rand.Rand
 
 	tab stats.Table
@@ -151,7 +144,7 @@ func runCells(o Options, tab *stats.Table, n int, fn func(c *Cell) error) error 
 		func(i int) string { return fmt.Sprintf("%s cell %d", o.RunName, i) },
 		func(i int) ([][]string, error) {
 			seed := exec.FoldSeed(o.Seed, uint64(i))
-			c := &Cell{Index: i, Seed: seed, Rng: graph.NewRand(seed)}
+			c := &Cell{Index: i, Rng: graph.NewRand(seed)}
 			//det:allow globalrand -- wall-clock telemetry (cell timings) is observational and never feeds table output
 			cellStart := time.Now()
 			err := fn(c)
@@ -185,14 +178,6 @@ func runCells(o Options, tab *stats.Table, n int, fn func(c *Cell) error) error 
 		tab.Rows = append(tab.Rows, rs...)
 	}
 	return nil
-}
-
-// sharedSeed derives a seed for a resource shared by several cells of one
-// runner (e.g. the sim seed every series of a sweep compares on). The tag
-// space sits above 1<<32 so it never collides with per-cell seeds, which
-// fold small cell indices.
-func sharedSeed(o Options, tag uint64) int64 {
-	return exec.FoldSeed(o.Seed, (1<<32)+tag)
 }
 
 // fmtPct renders a fraction as a percentage string.

@@ -5,10 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
-	"repro/internal/netsim"
 	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 func quick() Options { return Options{Quick: true, Seed: 1} }
@@ -140,35 +137,6 @@ func TestLayerCountComparison(t *testing.T) {
 // full table content) by the golden-table harness in golden_test.go; the
 // heaviest figures additionally run as benchmarks (bench_test.go at the
 // repository root) and via cmd/experiments.
-
-// TestMalformedPatternRejected: runSeries (the gate every hand-rolled
-// simulation runner funnels through; scenario-backed runners validate in
-// internal/scenario) must reject an out-of-range or self-flow pattern with
-// a useful error instead of simulating garbage.
-func TestMalformedPatternRejected(t *testing.T) {
-	sf, err := topo.SlimFly(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab, err := core.Build(sf, core.Config{NumLayers: 2, Rho: 1, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := traffic.Pattern{Name: "broken", N: sf.N(), Flows: []traffic.Flow{{Src: 0, Dst: int32(sf.N() + 5)}}}
-	_, err = runSeries(Options{}, fab, netsim.NDPDefaults(), bad, 32<<10, 0, netsim.Second, 1)
-	if err == nil {
-		t.Fatal("out-of-range pattern must be rejected")
-	}
-	for _, want := range []string{"broken", "out of range"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q should mention %q", err, want)
-		}
-	}
-	self := traffic.Pattern{Name: "selfie", N: sf.N(), Flows: []traffic.Flow{{Src: 3, Dst: 3}}}
-	if _, err := runSeries(Options{}, fab, netsim.NDPDefaults(), self, 32<<10, 0, netsim.Second, 1); err == nil {
-		t.Fatal("self-flow pattern must be rejected")
-	}
-}
 
 // newTestRand returns a deterministic rng for model tests.
 func newTestRand() *rand.Rand { return rand.New(rand.NewSource(7)) }

@@ -5,9 +5,11 @@ import (
 	"strconv"
 
 	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/layers"
 	"repro/internal/netsim"
+	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/topo"
 	"repro/internal/traffic"
@@ -24,7 +26,33 @@ func init() {
 }
 
 func runExtFailures(o Options) (*stats.Table, error) {
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
+	// A uniform pattern thinned to about 60 (quick) or 200 (full) flows:
+	// SF q=5 has 200 endpoints, SF q=11 has 2178.
+	intensity := 0.3
+	if !o.Quick {
+		intensity = 0.092
+	}
+	base := scenario.Spec{
+		Topology:  scenTopo(o, "SF"),
+		Pattern:   scenario.Pattern{Kind: "uniform", Intensity: intensity},
+		FlowSize:  scenario.FlowSize{Bytes: 64 << 10},
+		HorizonMs: 3000,
+	}
+	// The engine folds the failed-link set from (topology, failFrac), so
+	// both series lose the same links at each failure level.
+	var cells []scenario.Spec
+	for _, s := range []struct {
+		routing string
+		layers  int
+		rho     float64
+	}{{"fatpaths", 9, 0.6}, {"minimal", 1, 1}} {
+		for _, frac := range []float64{0, 0.02, 0.05, 0.10} {
+			c := base
+			c.Routing, c.Layers, c.Rho, c.FailFrac = s.routing, s.layers, s.rho, frac
+			cells = append(cells, c)
+		}
+	}
+	results, err := runSpecs(o, cells)
 	if err != nil {
 		return nil, err
 	}
@@ -32,111 +60,68 @@ func runExtFailures(o Options) (*stats.Table, error) {
 		Title:   "Resilience under link failures (NDP transport, 64KiB flows)",
 		Headers: []string{"series", "failed links", "completed", "mean FCT ms", "p99 ms"},
 	}
-	flows := pick(o, 60, 200)
-	fractions := []float64{0, 0.02, 0.05, 0.10}
-	series := []struct {
-		name   string
-		cfgLB  netsim.LoadBalance
-		layers int
-		rho    float64
-	}{
-		{"FatPaths(9 layers)", netsim.LBFatPaths, 9, 0.6},
-		{"single minimal path", netsim.LBMinimalLayer, 1, 1.0},
-	}
-	fabs := make([]*core.Fabric, len(series))
-	for i, s := range series {
-		fabs[i], err = core.Build(sf, o.coreCfg(s.layers, s.rho))
-		if err != nil {
-			return nil, err
+	for _, r := range results {
+		name := "FatPaths(9 layers)"
+		if r.Spec.Routing == "minimal" {
+			name = "single minimal path"
 		}
-	}
-	// Failure counts and flow endpoints derive from o.Seed alone (the same
-	// failed-link set must hit both series), so cells stay comparable at
-	// every parallelism.
-	if err := runCells(o, tab, len(series)*len(fractions), func(c *Cell) error {
-		si := c.Index / len(fractions)
-		frac := fractions[c.Index%len(fractions)]
-		s := series[si]
-		cfg := netsim.NDPDefaults()
-		cfg.LB = s.cfgLB
-		sim := fabs[si].NewSimulation(cfg)
-		nFail := int(frac * float64(sf.G.M()))
-		sim.Net.FailRandomLinks(nFail, graph.NewRand(o.Seed+int64(nFail)))
-		frng := graph.NewRand(o.Seed)
-		for i := 0; i < flows; i++ {
-			src, dst := graph.SampleDistinctPair(frng, sf.N())
-			sim.AddFlow(netsim.FlowSpec{Src: int32(src), Dst: int32(dst), Bytes: 64 << 10})
-		}
-		res := sim.Run(3 * netsim.Second)
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(s.name, nFail, fmtPct(netsim.CompletedFraction(res)), fct.Mean, fct.P99)
-		return nil
-	}); err != nil {
-		return nil, err
+		tab.AddRowf(name, r.FailedLinks, fmtPct(r.Completed), r.FCT.Mean, r.FCT.P99)
 	}
 	return tab, nil
 }
 
 func runExtMPTCP(o Options) (*stats.Table, error) {
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
+	// All four series run the identical workload on the identical fabric.
+	flowlet := scenario.Spec{
+		Topology:  scenTopo(o, "SF"),
+		Layers:    4,
+		Rho:       0.6,
+		Transport: "tcp",
+		Pattern:   scenario.Pattern{Kind: "adversarial"},
+		FlowSize:  scenario.FlowSize{Bytes: 512 << 10},
+		HorizonMs: 10000,
+	}
+	mptcp := flowlet
+	mptcp.Transport = "mptcp" // LIA-coupled subflows over pinned layers
+	results, err := runSpecs(o, []scenario.Spec{flowlet, mptcp})
 	if err != nil {
 		return nil, err
 	}
-	fab, err := core.Build(sf, o.coreCfg(4, 0.6))
-	if err != nil {
-		return nil, err
-	}
-	pat := traffic.AdversarialOffDiagonal(sf)
-	size := int64(512 << 10)
-	horizon := 10 * netsim.Second
 	tab := &stats.Table{
 		Title:   "MPTCP subflow striping vs flowlet FatPaths (512KiB messages, TCP)",
 		Headers: []string{"series", "mean FCT ms", "p99 ms", "completed"},
 	}
-	// All four series run the identical workload.
-	simSeed := sharedSeed(o, 0)
-	stripeKs := []int{2, 4}
-	if err := runCells(o, tab, 2+len(stripeKs), func(c *Cell) error {
-		switch c.Index {
-		case 0:
-			// Flowlet FatPaths baseline.
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			res, err := runSeries(o, fab, cfg, pat, size, 0, horizon, simSeed)
-			if err != nil {
-				return err
-			}
-			fct := netsim.SummarizeFCT(res)
-			c.AddRowf("flowlet FatPaths", fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		case 1:
-			// Native MPTCP transport (LIA-coupled subflows over pinned layers).
-			mcfg := netsim.TCPDefaults(netsim.TransportMPTCP)
-			mres, err := runSeries(o, fab, mcfg, pat, size, 0, horizon, simSeed)
-			if err != nil {
-				return err
-			}
-			mfct := netsim.SummarizeFCT(mres)
-			c.AddRowf("MPTCP transport (LIA)", mfct.Mean, mfct.P99, fmtPct(netsim.CompletedFraction(mres)))
-		default:
-			k := stripeKs[c.Index-2]
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			mres, err := fab.RunWorkloadMPTCP(cfg, pat, size, k, horizon, simSeed)
-			if err != nil {
-				return err
-			}
-			var sm stats.Sample
-			done := 0
-			for _, r := range mres {
-				if r.Done {
-					done++
-					sm.Add(r.FCT.Seconds() * 1e3)
-				}
-			}
-			s := sm.Summarize()
-			c.AddRowf("MPTCP k="+strconv.Itoa(k), s.Mean, s.P99, fmtPct(float64(done)/float64(len(mres))))
-		}
-		return nil
-	}); err != nil {
+	for i, name := range []string{"flowlet FatPaths", "MPTCP transport (LIA)"} {
+		r := results[i]
+		tab.AddRowf(name, r.FCT.Mean, r.FCT.P99, fmtPct(r.Completed))
+	}
+	// The engine has no k-subflow striping transport, so these rows drive
+	// core.RunWorkloadMPTCP on the fabric the engine builds for the
+	// flowlet cell.
+	t, fab, err := scenario.BuildFabric(flowlet, o.Seed, o.Obs)
+	if err != nil {
 		return nil, err
+	}
+	cfg := netsim.TCPDefaults(netsim.TransportTCP)
+	cfg.Shards = o.Shards
+	pat := traffic.AdversarialOffDiagonal(t)
+	ks := []int{2, 4}
+	striped, err := exec.ParallelMap(o.workers(), len(ks), func(i int) ([]core.MPTCPResult, error) {
+		return fab.RunWorkloadMPTCP(cfg, pat, flowlet.FlowSize.Bytes, ks[i],
+			netsim.Time(flowlet.HorizonMs*1e6), o.Seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, mres := range striped {
+		var sm stats.Sample
+		for _, r := range mres {
+			if r.Done {
+				sm.Add(r.FCT.Seconds() * 1e3)
+			}
+		}
+		s := sm.Summarize()
+		tab.AddRowf("MPTCP k="+strconv.Itoa(ks[i]), s.Mean, s.P99, fmtPct(float64(s.N)/float64(len(mres))))
 	}
 	return tab, nil
 }
@@ -173,7 +158,7 @@ func runExtTables(o Options) (*stats.Table, error) {
 		// destination, so a workload routing to a handful of destination
 		// routers occupies a sliver of the dense n·Nr² footprint even at
 		// the paper-example scale.
-		fab, err := core.Build(t, o.coreCfg(sz.Layers, 0.6))
+		fab, err := core.Build(t, core.Config{NumLayers: sz.Layers, Rho: 0.6, Seed: o.Seed, Obs: o.Obs})
 		if err != nil {
 			return err
 		}

@@ -16,11 +16,12 @@ import (
 // and an event-loop tracer — and compares the rendered tables
 // byte-for-byte against the same goldens the plain runs use. This is the
 // tentpole guarantee of the obs layer: instrumentation observes, it never
-// perturbs. The sample covers the three distinct execution paths: fig2
-// (scenario-matrix engine), fig12 (hand-rolled runCells sweep over
-// runSeries), and ext-failures (direct NewSimulation with link failures).
+// perturbs. The sample covers both execution paths of the simulation
+// figures: fig2 and ext-failures (the scenario engine, without and with
+// link failures) and ext-mptcp, whose k-subflow striping rows are the only
+// simulations that run outside the engine.
 func TestGoldenWithInstrumentation(t *testing.T) {
-	for _, id := range []string{"fig2", "fig12", "ext-failures"} {
+	for _, id := range []string{"fig2", "ext-failures", "ext-mptcp"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			t.Parallel()

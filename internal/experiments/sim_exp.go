@@ -1,15 +1,13 @@
 package experiments
 
 import (
-	"math/rand"
+	"fmt"
 
-	"repro/internal/core"
+	"repro/internal/exec"
 	"repro/internal/graph"
 	"repro/internal/netsim"
 	"repro/internal/scenario"
 	"repro/internal/stats"
-	"repro/internal/topo"
-	"repro/internal/traffic"
 )
 
 // This file implements the packet-level simulation experiments of §VII and
@@ -21,13 +19,12 @@ import (
 // transport/construction/randomization ablations (see README.md's
 // experiment table).
 //
-// fig2, fig11, fig13 and the three ablations are declarative scenario
-// matrices (internal/scenario): the runner states the swept axes and skip
-// constraints, the engine expands, seeds, and executes the cells over the
-// parallel runtime, and the runner only reformats CellResults into the
-// figure's table shape. The remaining runners enumerate cells by hand (they
-// embed per-cell baselines or model predictions the matrix form does not
-// express) and fan out via runCells with the same seed-folding discipline.
+// Every simulation runs through the scenario engine (internal/scenario):
+// a runner states its cells — a declarative Matrix, or an explicit spec
+// list where the table's row order is not the matrix nesting order — the
+// engine seeds them from canonical resource keys and executes them over
+// the parallel runtime with fabric dedup, result cache, and telemetry, and
+// the runner only reformats CellResults into the figure's table shape.
 
 func init() {
 	register("fig2", "Throughput/flow vs flow size: low-diameter+FatPaths vs FT+NDP (randomized workload)", runFig2)
@@ -45,52 +42,8 @@ func init() {
 	register("abl-randomization", "Ablation: workload randomization on vs off", runAblRandomization)
 }
 
-// smallSuite returns the per-figure topology set at quick or full scale.
-func simSuite(o Options, rng *rand.Rand) (map[string]*topo.Topology, error) {
-	out := map[string]*topo.Topology{}
-	var err error
-	add := func(k string, t *topo.Topology, e error) {
-		if err == nil && e != nil {
-			err = e
-		}
-		out[k] = t
-	}
-	if o.Quick {
-		sf, e := topo.SlimFly(5, 0)
-		add("SF", sf, e)
-		df, e := topo.Dragonfly(3)
-		add("DF", df, e)
-		hx, e := topo.HyperX(3, 4, 0)
-		add("HX", hx, e)
-		xp, e := topo.Xpander(8, 8, 0, rng)
-		add("XP", xp, e)
-		ft, e := topo.FatTree3(4, 2)
-		add("FT", ft, e)
-	} else {
-		sf, e := topo.SlimFly(11, 0)
-		add("SF", sf, e)
-		df, e := topo.Dragonfly(4)
-		add("DF", df, e)
-		hx, e := topo.HyperX(3, 7, 0)
-		add("HX", hx, e)
-		xp, e := topo.Xpander(16, 16, 0, rng)
-		add("XP", xp, e)
-		ft, e := topo.FatTree3(8, 2)
-		add("FT", ft, e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	jf, e := topo.EquivalentJellyfish(out["SF"], rng)
-	if e != nil {
-		return nil, e
-	}
-	out["JF"] = jf
-	return out, nil
-}
-
-// scenTopo maps a simSuite family tag onto the scenario topology spec of
-// the same size at the current scale.
+// scenTopo maps a figure's topology family tag onto the scenario topology
+// spec of the same size at the current scale.
 func scenTopo(o Options, kind string) scenario.Topology {
 	switch kind {
 	case "SF":
@@ -117,18 +70,32 @@ func scenTopos(o Options, kinds ...string) []scenario.Topology {
 	return out
 }
 
-// runMatrices expands the given matrices, concatenates their cells in
-// order, and executes everything as one batch over the parallel runtime
-// with the experiment's seed and progress reporting.
-func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, error) {
+// suiteTag is the table label of a scenTopo topology: its family tag.
+func suiteTag(ts scenario.Topology) string {
+	if ts.Kind == "FT3" {
+		return "FT"
+	}
+	return ts.Kind
+}
+
+// mustExpand concatenates the cells of the given matrices in order. The
+// runners' matrices are static, so an expansion error is a programming
+// error.
+func mustExpand(ms ...*scenario.Matrix) []scenario.Spec {
 	var cells []scenario.Spec
 	for _, m := range ms {
 		cs, _, err := m.Expand()
 		if err != nil {
-			return nil, err
+			panic(err)
 		}
 		cells = append(cells, cs...)
 	}
+	return cells
+}
+
+// runSpecs executes the cells as one batch over the parallel runtime with
+// the experiment's seed, progress reporting, instrumentation, and cache.
+func runSpecs(o Options, cells []scenario.Spec) ([]scenario.CellResult, error) {
 	return scenario.RunSpecs(cells, scenario.RunOptions{
 		Seed:        o.Seed,
 		Parallelism: o.workers(),
@@ -142,35 +109,52 @@ func runMatrices(o Options, ms ...*scenario.Matrix) ([]scenario.CellResult, erro
 	})
 }
 
-// runSeries simulates one (fabric, config, pattern, size) combination. The
-// pattern is validated first: a malformed pattern aborts the experiment
-// with a useful error instead of simulating garbage. The run's tracer (if
-// any) is offered to every series; the first simulation wins it.
-func runSeries(o Options, fab *core.Fabric, cfg netsim.Config, pat traffic.Pattern, size int64, lambda float64, horizon netsim.Time, seed int64) ([]netsim.FlowResult, error) {
-	if err := pat.ValidateFlows(); err != nil {
-		return nil, err
-	}
-	cfg.Tracer = o.Tracer
-	if cfg.Shards == 0 {
-		cfg.Shards = o.Shards
-	}
-	wl := core.Workload{Pattern: pat, FlowSize: traffic.FixedSize(size), Lambda: lambda}
-	return fab.RunWorkload(cfg, wl, horizon, seed), nil
-}
-
-func flowSizes(o Options) []int64 {
-	if o.Quick {
-		return []int64{32 << 10, 256 << 10, 2 << 20}
-	}
-	return []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20}
-}
-
 func scenSizes(o Options) []scenario.FlowSize {
+	sizes := []int64{32 << 10, 128 << 10, 512 << 10, 2 << 20}
+	if o.Quick {
+		sizes = []int64{32 << 10, 256 << 10, 2 << 20}
+	}
 	var out []scenario.FlowSize
-	for _, b := range flowSizes(o) {
+	for _, b := range sizes {
 		out = append(out, scenario.FlowSize{Bytes: b})
 	}
 	return out
+}
+
+// tcpCells expands a base cell into the four §VII-C TCP series of Figs 14
+// and 17, in legend order: ECMP and LetFlow on one dense layer, FatPaths
+// on n=4 layers at ρ=0.6 and ρ=1.
+func tcpCells(base scenario.Spec) []scenario.Spec {
+	var out []scenario.Spec
+	for _, s := range []struct {
+		routing string
+		layers  int
+		rho     float64
+	}{{"ecmp", 1, 1}, {"letflow", 1, 1}, {"fatpaths", 4, 0.6}, {"fatpaths", 4, 1}} {
+		c := base
+		c.Routing, c.Layers, c.Rho = s.routing, s.layers, s.rho
+		out = append(out, c)
+	}
+	return out
+}
+
+// seriesName is the legend label of a tcpCells cell.
+func seriesName(s scenario.Spec) string {
+	switch s.Routing {
+	case "ecmp":
+		return "ECMP"
+	case "letflow":
+		return "LetFlow"
+	}
+	return fmt.Sprintf("FatPaths(%.1f)", s.Rho)
+}
+
+// speedup is base/x, or 0 when x is not positive.
+func speedup(base, x float64) float64 {
+	if x > 0 {
+		return base / x
+	}
+	return 0
 }
 
 func runFig2(o Options) (*stats.Table, error) {
@@ -200,7 +184,7 @@ func runFig2(o Options) (*stats.Table, error) {
 		Base: ftBase,
 		Axes: scenario.Axes{FlowSizes: scenSizes(o)},
 	}
-	results, err := runMatrices(o, lowDiam, ft)
+	results, err := runSpecs(o, mustExpand(lowDiam, ft))
 	if err != nil {
 		return nil, err
 	}
@@ -246,7 +230,7 @@ func runFig11(o Options) (*stats.Table, error) {
 			{When: map[string]string{"routing": "spray", "rho": "0"}},
 		},
 	}
-	results, err := runMatrices(o, m)
+	results, err := runSpecs(o, mustExpand(m))
 	if err != nil {
 		return nil, err
 	}
@@ -266,16 +250,28 @@ func runFig11(o Options) (*stats.Table, error) {
 }
 
 func runFig12(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
-	if err != nil {
-		return nil, err
+	ns := []int{2, 5, 9}
+	if !o.Quick {
+		ns = []int{2, 5, 9, 17, 33}
 	}
-	df, err := topo.Dragonfly(pick(o, 3, 4))
-	if err != nil {
-		return nil, err
-	}
-	cl, err := topo.Complete(pick(o, 15, 40), 0)
+	// Every (n, rho) cell of one topology faces the same workload: the
+	// engine derives pattern and arrivals from the workload axes alone.
+	results, err := runSpecs(o, mustExpand(&scenario.Matrix{
+		Name: "fig12",
+		Base: scenario.Spec{
+			Pattern:   scenario.Pattern{Kind: "permutation", Randomize: true},
+			FlowSize:  scenario.FlowSize{Bytes: 1 << 20},
+			Load:      300,
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{
+			Topologies: []scenario.Topology{
+				{Kind: "Clique", Param: pick(o, 15, 40)}, scenTopo(o, "SF"), scenTopo(o, "DF"),
+			},
+			Layers: ns,
+			Rhos:   []float64{0.5, 0.7, 0.8},
+		},
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -283,46 +279,9 @@ func runFig12(o Options) (*stats.Table, error) {
 		Title:   "Fig 12: effect of n and rho on 1MiB-flow FCT [ms] (NDP mode)",
 		Headers: []string{"topology", "n", "rho", "mean", "p10", "p99", "completed"},
 	}
-	ns := []int{2, 5, 9}
-	rhos := []float64{0.5, 0.7, 0.8}
-	if !o.Quick {
-		ns = []int{2, 5, 9, 17, 33}
-	}
-	horizon := 10 * netsim.Second
-	type cell struct {
-		t       *topo.Topology
-		pat     traffic.Pattern
-		n       int
-		rho     float64
-		simSeed int64
-	}
-	var cells []cell
-	for ti, t := range []*topo.Topology{cl, sf, df} {
-		// The whole (n, rho) sweep of one topology compares FCT on the same
-		// workload: pattern and sim seed are shared across its cells.
-		pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, t.N()), rng)
-		simSeed := sharedSeed(o, uint64(ti))
-		for _, n := range ns {
-			for _, rho := range rhos {
-				cells = append(cells, cell{t, pat, n, rho, simSeed})
-			}
-		}
-	}
-	if err := runCells(o, tab, len(cells), func(c *Cell) error {
-		cl := cells[c.Index]
-		fab, err := core.Build(cl.t, o.coreCfg(cl.n, cl.rho))
-		if err != nil {
-			return err
-		}
-		res, err := runSeries(o, fab, netsim.NDPDefaults(), cl.pat, 1<<20, 300, horizon, cl.simSeed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(cl.t.Kind, cl.n, cl.rho, fct.Mean, fct.P10, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Layers, r.Spec.Rho,
+			r.FCT.Mean, r.FCT.P10, r.FCT.P99, fmtPct(r.Completed))
 	}
 	return tab, nil
 }
@@ -344,7 +303,7 @@ func runFig13(o Options) (*stats.Table, error) {
 			},
 		},
 	}
-	results, err := runMatrices(o, m)
+	results, err := runSpecs(o, mustExpand(m))
 	if err != nil {
 		return nil, err
 	}
@@ -358,83 +317,61 @@ func runFig13(o Options) (*stats.Table, error) {
 	return tab, nil
 }
 
-// tcpSeriesConfig returns the four Fig 14 series: ECMP, LetFlow,
-// FatPaths(rho=0.6), FatPaths(rho=1), all with n=4 layers (§VII-C).
-type tcpSeries struct {
-	name   string
-	lb     netsim.LoadBalance
-	layers int
-	rho    float64
-}
-
-func tcpSeriesSet() []tcpSeries {
-	return []tcpSeries{
-		{"ECMP", netsim.LBECMP, 1, 1},
-		{"LetFlow", netsim.LBLetFlow, 1, 1},
-		{"FatPaths(0.6)", netsim.LBFatPaths, 4, 0.6},
-		{"FatPaths(1.0)", netsim.LBFatPaths, 4, 1.0},
-	}
-}
-
 func runFig14(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
+	var cells []scenario.Spec
+	for _, t := range scenTopos(o, "DF", "FT", "HX", "JF", "SF", "XP") {
+		for _, size := range []int64{20e3, 200e3, 2e6} {
+			// Synchronized starts (load 0): at this scaled-down N, Poisson
+			// staggering would dissolve the path collisions the figure
+			// studies (the paper's N≈10k runs have enough concurrent
+			// flows for lambda=200 to keep collisions persistent).
+			cells = append(cells, tcpCells(scenario.Spec{
+				Topology:  t,
+				Transport: "tcp",
+				Pattern:   scenario.Pattern{Kind: "adversarial"},
+				FlowSize:  scenario.FlowSize{Bytes: size},
+				HorizonMs: 12000,
+			})...)
+		}
+	}
+	results, err := runSpecs(o, cells)
 	if err != nil {
 		return nil, err
 	}
-	sizes := []int64{20e3, 200e3, 2e6}
 	tab := &stats.Table{
 		Title:   "Fig 14: TCP — speedup over ECMP (mean and 99% tail of FCT)",
 		Headers: []string{"topology", "flow KB", "series", "mean FCT ms", "p99 ms", "speedup mean", "speedup p99"},
 	}
-	horizon := 12 * netsim.Second
-	names := []string{"DF", "FT", "HX", "JF", "SF", "XP"}
-	// One cell per (topology, size): the ECMP baseline the speedup columns
-	// divide by lives in the same cell as the series compared against it.
-	if err := runCells(o, tab, len(names)*len(sizes), func(c *Cell) error {
-		name := names[c.Index/len(sizes)]
-		size := sizes[c.Index%len(sizes)]
-		t := suite[name]
-		pat := traffic.AdversarialOffDiagonal(t)
-		var base stats.Summary
-		for _, s := range tcpSeriesSet() {
-			fab, err := core.Build(t, o.coreCfg(s.layers, s.rho))
-			if err != nil {
-				return err
-			}
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			cfg.LB = s.lb
-			// Synchronized starts: at this scaled-down N, Poisson
-			// staggering would dissolve the path collisions the figure
-			// studies (the paper's N≈10k runs have enough concurrent
-			// flows for lambda=200 to keep collisions persistent).
-			res, err := runSeries(o, fab, cfg, pat, size, 0, horizon, c.Seed)
-			if err != nil {
-				return err
-			}
-			fct := netsim.SummarizeFCT(res)
-			if s.name == "ECMP" {
-				base = fct
-			}
-			spMean, spTail := 0.0, 0.0
-			if fct.Mean > 0 {
-				spMean = base.Mean / fct.Mean
-			}
-			if fct.P99 > 0 {
-				spTail = base.P99 / fct.P99
-			}
-			c.AddRowf(name, size/1000, s.name, fct.Mean, fct.P99, spMean, spTail)
+	// The speedup columns divide by the ECMP row of the same (topology,
+	// size), which tcpCells puts first.
+	var base stats.Summary
+	for _, r := range results {
+		if r.Spec.Routing == "ecmp" {
+			base = r.FCT
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		tab.AddRowf(suiteTag(r.Spec.Topology), r.Spec.FlowSize.Bytes/1000, seriesName(r.Spec),
+			r.FCT.Mean, r.FCT.P99, speedup(base.Mean, r.FCT.Mean), speedup(base.P99, r.FCT.P99))
 	}
 	return tab, nil
 }
 
 func runFig15(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	sf, err := topo.SlimFly(pick(o, 5, 11), 0)
+	const lambda = 200.0
+	// Both simulated series face the identical Poisson arrival process:
+	// they agree on every workload axis.
+	fatpaths := scenario.Spec{
+		Topology:  scenTopo(o, "SF"),
+		Layers:    4,
+		Rho:       0.6,
+		Transport: "tcp",
+		Pattern:   scenario.Pattern{Kind: "permutation", Randomize: true},
+		FlowSize:  scenario.FlowSize{Bytes: 1 << 20},
+		Load:      lambda,
+		HorizonMs: 12000,
+	}
+	ecmp := fatpaths
+	ecmp.Routing, ecmp.Layers, ecmp.Rho = "ecmp", 1, 1
+	results, err := runSpecs(o, []scenario.Spec{fatpaths, ecmp})
 	if err != nil {
 		return nil, err
 	}
@@ -442,143 +379,114 @@ func runFig15(o Options) (*stats.Table, error) {
 		Title:   "Fig 15: 1MiB-flow FCT distribution on SF (TCP)",
 		Headers: []string{"series", "p10 ms", "p50 ms", "p90 ms", "p99 ms", "mean ms"},
 	}
-	lambda := 200.0
-	horizon := 12 * netsim.Second
-	pat := traffic.RandomizeMapping(traffic.RandomPermutation(rng, sf.N()), rng)
-	// Both simulated series face the identical Poisson arrival process.
-	simSeed := sharedSeed(o, 0)
-	series := []tcpSeries{
-		{"FatPaths(TCP)", netsim.LBFatPaths, 4, 0.6},
-		{"ECMP", netsim.LBECMP, 1, 1},
-	}
-	// Cell 0 is the M/M/1-PS queueing-model prediction at the access link;
-	// cells 1.. are the simulated series.
-	if err := runCells(o, tab, 1+len(series), func(c *Cell) error {
-		if c.Index == 0 {
-			model := QueueModelSample(c.Rng, 4000, 1<<20, 10e9, lambda, 20*netsim.Microsecond)
-			c.AddRowf("queueing model", model.P10, model.P50, model.P90, model.P99, model.Mean)
-			return nil
-		}
-		s := series[c.Index-1]
-		fab, err := core.Build(sf, o.coreCfg(s.layers, s.rho))
-		if err != nil {
-			return err
-		}
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		cfg.LB = s.lb
-		res, err := runSeries(o, fab, cfg, pat, 1<<20, lambda, horizon, simSeed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(s.name, fct.P10, fct.P50, fct.P90, fct.P99, fct.Mean)
-		return nil
-	}); err != nil {
-		return nil, err
+	// The M/M/1-PS queueing-model prediction at the access link is not a
+	// simulation; it samples from the run seed folded with 0.
+	model := QueueModelSample(graph.NewRand(exec.FoldSeed(o.Seed, 0)), 4000, 1<<20, 10e9, lambda, 20*netsim.Microsecond)
+	tab.AddRowf("queueing model", model.P10, model.P50, model.P90, model.P99, model.Mean)
+	for i, name := range []string{"FatPaths(TCP)", "ECMP"} {
+		fct := results[i].FCT
+		tab.AddRowf(name, fct.P10, fct.P50, fct.P90, fct.P99, fct.Mean)
 	}
 	return tab, nil
 }
 
 func runFig16(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
-	if err != nil {
-		return nil, err
-	}
 	rhos := []float64{0.5, 0.7, 0.9, 1.0}
 	if !o.Quick {
 		rhos = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
+	}
+	// The rho sweep of one topology compares against the same workload.
+	results, err := runSpecs(o, mustExpand(&scenario.Matrix{
+		Name: "fig16",
+		Base: scenario.Spec{
+			Layers:    4,
+			Transport: "tcp",
+			Pattern:   scenario.Pattern{Kind: "adversarial"},
+			FlowSize:  scenario.FlowSize{Bytes: 1 << 20},
+			Load:      200,
+			HorizonMs: 12000,
+		},
+		Axes: scenario.Axes{
+			Topologies: scenTopos(o, "DF", "JF", "HX", "SF", "XP"),
+			Rhos:       rhos,
+		},
+	}))
+	if err != nil {
+		return nil, err
 	}
 	tab := &stats.Table{
 		Title:   "Fig 16: impact of rho on 1MiB-flow FCT (TCP, n=4)",
 		Headers: []string{"topology", "rho", "mean ms", "p10 ms", "p99 ms"},
 	}
-	horizon := 12 * netsim.Second
-	names := []string{"DF", "JF", "HX", "SF", "XP"}
-	if err := runCells(o, tab, len(names)*len(rhos), func(c *Cell) error {
-		ti := c.Index / len(rhos)
-		name := names[ti]
-		rho := rhos[c.Index%len(rhos)]
-		t := suite[name]
-		pat := traffic.AdversarialOffDiagonal(t)
-		fab, err := core.Build(t, o.coreCfg(4, rho))
-		if err != nil {
-			return err
-		}
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		// The rho sweep of one topology compares against the same workload.
-		res, err := runSeries(o, fab, cfg, pat, 1<<20, 200, horizon, sharedSeed(o, uint64(ti)))
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(name, rho, fct.Mean, fct.P10, fct.P99)
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Rho, r.FCT.Mean, r.FCT.P10, r.FCT.P99)
 	}
 	return tab, nil
 }
 
 func runFig17(o Options) (*stats.Table, error) {
-	rng := graph.NewRand(o.Seed)
-	suite, err := simSuite(o, rng)
-	if err != nil {
-		return nil, err
-	}
 	sizes := []int64{20e3, 200e3}
 	if !o.Quick {
 		sizes = append(sizes, 2e6)
 	}
-	rounds := pick(o, 3, 5)
+	const horizonMs = 6000
+	var cells []scenario.Spec
+	for _, t := range scenTopos(o, "DF", "FT", "HX", "JF", "SF", "XP") {
+		for _, size := range sizes {
+			cells = append(cells, tcpCells(scenario.Spec{
+				Topology:  t,
+				Transport: "tcp",
+				Pattern:   scenario.Pattern{Kind: "stencil", Randomize: true},
+				FlowSize:  scenario.FlowSize{Bytes: size},
+				HorizonMs: horizonMs,
+			})...)
+		}
+	}
+	results, err := runSpecs(o, cells)
+	if err != nil {
+		return nil, err
+	}
 	tab := &stats.Table{
 		Title:   "Fig 17: stencil+barrier completion time, speedup over ECMP (TCP)",
 		Headers: []string{"topology", "flow KB", "series", "total ms", "speedup"},
 	}
-	names := []string{"DF", "FT", "HX", "JF", "SF", "XP"}
-	pats := make([]traffic.Pattern, len(names))
-	for i, name := range names {
-		pats[i] = traffic.RandomizeMapping(traffic.DefaultStencil(suite[name].N()), rng)
-	}
-	// One cell per (topology, size); the series loop stays inside so the
-	// ECMP total the speedups divide by is computed alongside.
-	if err := runCells(o, tab, len(names)*len(sizes), func(c *Cell) error {
-		ti := c.Index / len(sizes)
-		name := names[ti]
-		size := sizes[c.Index%len(sizes)]
-		t := suite[name]
-		var base netsim.Time
-		for _, s := range tcpSeriesSet() {
-			fab, err := core.Build(t, o.coreCfg(s.layers, s.rho))
-			if err != nil {
-				return err
-			}
-			cfg := netsim.TCPDefaults(netsim.TransportTCP)
-			cfg.LB = s.lb
-			total, _ := fab.RunStencilRounds(cfg, pats[ti], size, rounds, 6*netsim.Second, c.Seed)
-			if s.name == "ECMP" {
-				base = total
-			}
-			sp := 0.0
-			if total > 0 {
-				sp = float64(base) / float64(total)
-			}
-			c.AddRowf(name, size/1000, s.name, total.Seconds()*1e3, sp)
+	// One bulk-synchronous round is a synchronized start of every stencil
+	// flow followed by a barrier that waits for the slowest; an incomplete
+	// round costs the whole horizon. The barrier drains the network, and
+	// every round replays the same flows on the same fabric, so all rounds
+	// are identical and the total is rounds × one round.
+	rounds := float64(pick(o, 3, 5))
+	var base float64
+	for _, r := range results {
+		round := r.FCT.Max
+		if r.Completed < 1 {
+			round = horizonMs
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		total := rounds * round
+		if r.Spec.Routing == "ecmp" {
+			base = total
+		}
+		tab.AddRowf(suiteTag(r.Spec.Topology), r.Spec.FlowSize.Bytes/1000, seriesName(r.Spec),
+			total, speedup(base, total))
 	}
 	return tab, nil
 }
 
 func runFig20(o Options) (*stats.Table, error) {
-	n := pick(o, 24, 60)
-	st, err := topo.Star(n)
-	if err != nil {
-		return nil, err
-	}
-	fab, err := core.Build(st, o.coreCfg(1, 1))
+	results, err := runSpecs(o, mustExpand(&scenario.Matrix{
+		Name: "fig20",
+		Base: scenario.Spec{
+			Topology:  scenario.Topology{Kind: "Star", Param: pick(o, 24, 60)},
+			Layers:    1,
+			Rho:       1,
+			Routing:   "minimal",
+			Transport: "tcp",
+			Pattern:   scenario.Pattern{Kind: "uniform"},
+			FlowSize:  scenario.FlowSize{Bytes: 2e6},
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{Loads: []float64{100, 250, 500, 800}},
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -586,36 +494,31 @@ func runFig20(o Options) (*stats.Table, error) {
 		Title:   "Fig 20: 2MB-flow FCT vs arrival rate on a crossbar (TCP)",
 		Headers: []string{"lambda", "p10 ms", "mean ms", "p90 ms", "completed"},
 	}
-	rng := graph.NewRand(o.Seed)
-	lambdas := []float64{100, 250, 500, 800}
-	pats := make([]traffic.Pattern, len(lambdas))
-	for i := range lambdas {
-		pats[i] = traffic.RandomUniform(rng, n)
-	}
-	if err := runCells(o, tab, len(lambdas), func(c *Cell) error {
-		cfg := netsim.TCPDefaults(netsim.TransportTCP)
-		cfg.LB = netsim.LBMinimalLayer
-		res, err := runSeries(o, fab, cfg, pats[c.Index], 2e6, lambdas[c.Index], 10*netsim.Second, c.Seed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(lambdas[c.Index], fct.P10, fct.Mean, fct.P90, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Load, r.FCT.P10, r.FCT.Mean, r.FCT.P90, fmtPct(r.Completed))
 	}
 	return tab, nil
 }
 
 func runFig21(o Options) (*stats.Table, error) {
-	n := pick(o, 24, 128)
-	st, err := topo.Star(n)
-	if err != nil {
-		return nil, err
-	}
-	m := pick(o, 3, 6)
-	ft, err := topo.FatTree3(m, 2)
+	results, err := runSpecs(o, mustExpand(&scenario.Matrix{
+		Name: "fig21",
+		Base: scenario.Spec{
+			Layers:    1,
+			Rho:       1,
+			Routing:   "spray",
+			Pattern:   scenario.Pattern{Kind: "uniform"},
+			FlowSize:  scenario.FlowSize{Bytes: 256 << 10},
+			HorizonMs: 10000,
+		},
+		Axes: scenario.Axes{
+			Topologies: []scenario.Topology{
+				{Kind: "Star", Param: pick(o, 24, 128)},
+				{Kind: "FT3", Param: pick(o, 3, 6)},
+			},
+			Loads: []float64{100, 300, 500},
+		},
+	}))
 	if err != nil {
 		return nil, err
 	}
@@ -623,36 +526,8 @@ func runFig21(o Options) (*stats.Table, error) {
 		Title:   "Fig 21: influence of lambda on baseline NDP (per-packet spray)",
 		Headers: []string{"topology", "lambda", "FCT p10 ms", "mean ms", "p99 ms", "completed"},
 	}
-	rng := graph.NewRand(o.Seed)
-	lambdas := []float64{100, 300, 500}
-	type cell struct {
-		fab *core.Fabric
-		pat traffic.Pattern
-		l   float64
-	}
-	var cells []cell
-	for _, t := range []*topo.Topology{st, ft} {
-		fab, err := core.Build(t, o.coreCfg(1, 1))
-		if err != nil {
-			return nil, err
-		}
-		for _, lambda := range lambdas {
-			cells = append(cells, cell{fab, traffic.RandomUniform(rng, t.N()), lambda})
-		}
-	}
-	if err := runCells(o, tab, len(cells), func(c *Cell) error {
-		cl := cells[c.Index]
-		cfg := netsim.NDPDefaults()
-		cfg.LB = netsim.LBPacketSpray
-		res, err := runSeries(o, cl.fab, cfg, cl.pat, 256<<10, cl.l, 10*netsim.Second, c.Seed)
-		if err != nil {
-			return err
-		}
-		fct := netsim.SummarizeFCT(res)
-		c.AddRowf(cl.fab.Topo.Kind, cl.l, fct.P10, fct.Mean, fct.P99, fmtPct(netsim.CompletedFraction(res)))
-		return nil
-	}); err != nil {
-		return nil, err
+	for _, r := range results {
+		tab.AddRowf(r.Spec.Topology.Kind, r.Spec.Load, r.FCT.P10, r.FCT.Mean, r.FCT.P99, fmtPct(r.Completed))
 	}
 	return tab, nil
 }
@@ -668,7 +543,7 @@ func runAblTransport(o Options) (*stats.Table, error) {
 		},
 		Axes: scenario.Axes{Transports: []string{"ndp", "tcp"}},
 	}
-	results, err := runMatrices(o, m)
+	results, err := runSpecs(o, mustExpand(m))
 	if err != nil {
 		return nil, err
 	}
@@ -700,7 +575,7 @@ func runAblConstruction(o Options) (*stats.Table, error) {
 		},
 		Axes: scenario.Axes{Constructions: []string{"random", "min-interference"}},
 	}
-	results, err := runMatrices(o, m)
+	results, err := runSpecs(o, mustExpand(m))
 	if err != nil {
 		return nil, err
 	}
@@ -727,7 +602,7 @@ func runAblRandomization(o Options) (*stats.Table, error) {
 			{Kind: "adversarial", Randomize: true},
 		}},
 	}
-	results, err := runMatrices(o, m)
+	results, err := runSpecs(o, mustExpand(m))
 	if err != nil {
 		return nil, err
 	}

@@ -12,8 +12,8 @@
 // identical workload, the discipline the paper's sweep figures rely on.
 //
 // Specs round-trip through JSON; cmd/scenarios runs spec files from disk
-// (examples under examples/scenarios/), and the migrated experiment
-// runners (fig2, fig11, fig13, abl-*) are thin matrices over this package.
+// (examples under examples/scenarios/), and every simulation experiment
+// runner of internal/experiments is a thin spec list over this package.
 package scenario
 
 import (

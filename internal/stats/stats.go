@@ -108,10 +108,11 @@ func (s *Sample) Stddev() float64 {
 	return math.Sqrt(ss / float64(n-1))
 }
 
-// Summary is the (mean, selected percentiles) digest the paper reports.
+// Summary is the (mean, selected percentiles) digest the paper reports,
+// plus the largest observation (the slowest flow a barrier waits for).
 type Summary struct {
-	N                                   int
-	Mean, P01, P10, P50, P90, P99, P999 float64
+	N                                        int
+	Mean, P01, P10, P50, P90, P99, P999, Max float64
 }
 
 // summaryJSON is Summary's JSON shape. The float fields use jsonFloat so
@@ -129,6 +130,7 @@ type summaryJSON struct {
 	P90  jsonFloat `json:"P90"`
 	P99  jsonFloat `json:"P99"`
 	P999 jsonFloat `json:"P999"`
+	Max  jsonFloat `json:"Max"`
 }
 
 // jsonFloat marshals finite values as plain JSON numbers and non-finite
@@ -166,7 +168,7 @@ func (s Summary) MarshalJSON() ([]byte, error) {
 	return json.Marshal(summaryJSON{
 		N: s.N, Mean: jsonFloat(s.Mean), P01: jsonFloat(s.P01),
 		P10: jsonFloat(s.P10), P50: jsonFloat(s.P50), P90: jsonFloat(s.P90),
-		P99: jsonFloat(s.P99), P999: jsonFloat(s.P999),
+		P99: jsonFloat(s.P99), P999: jsonFloat(s.P999), Max: jsonFloat(s.Max),
 	})
 }
 
@@ -179,7 +181,7 @@ func (s *Summary) UnmarshalJSON(b []byte) error {
 	*s = Summary{
 		N: w.N, Mean: float64(w.Mean), P01: float64(w.P01),
 		P10: float64(w.P10), P50: float64(w.P50), P90: float64(w.P90),
-		P99: float64(w.P99), P999: float64(w.P999),
+		P99: float64(w.P99), P999: float64(w.P999), Max: float64(w.Max),
 	}
 	return nil
 }
@@ -195,6 +197,7 @@ func (s *Sample) Summarize() Summary {
 		P90:  s.Percentile(0.90),
 		P99:  s.Percentile(0.99),
 		P999: s.Percentile(0.999),
+		Max:  s.Max(),
 	}
 }
 

@@ -94,6 +94,9 @@ func TestSummarize(t *testing.T) {
 	if sum.P99 < 980 || sum.P99 > 995 {
 		t.Fatalf("p99=%f", sum.P99)
 	}
+	if sum.Max != 999 {
+		t.Fatalf("max=%f, want 999", sum.Max)
+	}
 	if !strings.Contains(sum.String(), "n=1000") {
 		t.Fatal("String should include count")
 	}
@@ -146,13 +149,18 @@ func TestTableRendering(t *testing.T) {
 
 // TestSummaryJSONRoundTrip: Summary survives JSON both for ordinary
 // finite digests and for empty-sample digests whose percentiles are NaN
-// (and any ±Inf) — encoding/json rejects non-finite numbers, so the
-// scenario result cache and run journal depend on this round trip.
+// and whose Max is -Inf — encoding/json rejects non-finite numbers, so
+// the scenario result cache and run journal depend on this round trip.
 func TestSummaryJSONRoundTrip(t *testing.T) {
+	var empty Sample
 	cases := []Summary{
-		{N: 3, Mean: 1.5, P01: 0.1, P10: 0.25, P50: 1.75, P90: 2.5, P99: 2.75, P999: 2.875},
-		{N: 0, Mean: 0, P01: math.NaN(), P10: math.NaN(), P50: math.NaN(), P90: math.NaN(), P99: math.NaN(), P999: math.NaN()},
-		{N: 1, Mean: math.Inf(1), P01: math.Inf(-1), P50: 0.3},
+		{N: 3, Mean: 1.5, P01: 0.1, P10: 0.25, P50: 1.75, P90: 2.5, P99: 2.75, P999: 2.875, Max: 3},
+		{N: 0, Mean: 0, P01: math.NaN(), P10: math.NaN(), P50: math.NaN(), P90: math.NaN(), P99: math.NaN(), P999: math.NaN(), Max: math.NaN()},
+		{N: 1, Mean: math.Inf(1), P01: math.Inf(-1), P50: 0.3, Max: math.Inf(1)},
+		empty.Summarize(),
+	}
+	if m := cases[3].Max; !math.IsInf(m, -1) {
+		t.Fatalf("empty sample Max = %v, want -Inf", m)
 	}
 	same := func(a, b float64) bool {
 		return a == b || (math.IsNaN(a) && math.IsNaN(b))
@@ -168,7 +176,7 @@ func TestSummaryJSONRoundTrip(t *testing.T) {
 		}
 		if out.N != in.N || !same(out.Mean, in.Mean) || !same(out.P01, in.P01) ||
 			!same(out.P10, in.P10) || !same(out.P50, in.P50) || !same(out.P90, in.P90) ||
-			!same(out.P99, in.P99) || !same(out.P999, in.P999) {
+			!same(out.P99, in.P99) || !same(out.P999, in.P999) || !same(out.Max, in.Max) {
 			t.Fatalf("case %d: round trip changed the digest:\nin:  %+v\nout: %+v\nwire: %s", i, in, out, b)
 		}
 	}

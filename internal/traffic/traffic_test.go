@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -252,5 +253,26 @@ func TestPatternsValidProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestValidateFlowsRejectsMalformed: ValidateFlows is the gate every
+// simulated pattern passes before it reaches the simulator. It must reject
+// an out-of-range endpoint with an error naming the pattern, and a
+// self-flow.
+func TestValidateFlowsRejectsMalformed(t *testing.T) {
+	bad := Pattern{Name: "broken", N: 10, Flows: []Flow{{Src: 0, Dst: 15}}}
+	err := bad.ValidateFlows()
+	if err == nil {
+		t.Fatal("out-of-range pattern must be rejected")
+	}
+	for _, want := range []string{"broken", "out of range"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q should mention %q", err, want)
+		}
+	}
+	self := Pattern{Name: "selfie", N: 10, Flows: []Flow{{Src: 3, Dst: 3}}}
+	if err := self.ValidateFlows(); err == nil {
+		t.Fatal("self-flow pattern must be rejected")
 	}
 }
