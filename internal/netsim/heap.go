@@ -59,8 +59,8 @@ func (h *eventHeap) push(at Time, key uint64, pay eventPayload) {
 }
 
 // pop removes and returns the minimum event.
-func (h *eventHeap) pop() (Time, eventPayload) {
-	at0, pay0 := h.at[0], h.pay[0]
+func (h *eventHeap) pop() (Time, uint64, eventPayload) {
+	at0, key0, pay0 := h.at[0], h.key[0], h.pay[0]
 	last := len(h.at) - 1
 	at, key, pay := h.at[last], h.key[last], h.pay[last]
 	h.pay[last] = eventPayload{} // clear fn/link/pkt for the GC
@@ -91,5 +91,5 @@ func (h *eventHeap) pop() (Time, eventPayload) {
 		}
 		h.at[i], h.key[i], h.pay[i] = at, key, pay
 	}
-	return at0, pay0
+	return at0, key0, pay0
 }

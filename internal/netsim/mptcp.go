@@ -34,7 +34,7 @@ type mptcpSub struct {
 	dupacks  int
 	inRec    bool
 	recover  int32
-	rtoGen   int64
+	timer    timer // retransmission timeout
 	rto      Time
 	srtt     Time
 	rttvar   Time
@@ -83,8 +83,9 @@ func (s *Sim) mptcpStart(sh *Shard, f *flow) {
 	}
 	f.mptcp = subs
 	for _, ms := range subs {
+		ms.timer.init(f.srcPart, func(sh *Shard) { s.mptcpRTOFire(sh, f, ms) })
 		s.mptcpTrySend(sh, f, ms)
-		s.mptcpArmRTO(sh, f, ms)
+		s.mptcpArmRTO(sh, ms)
 	}
 }
 
@@ -130,7 +131,7 @@ func (s *Sim) mptcpTrySend(sh *Shard, f *flow, ms *mptcpSub) {
 		sent = true
 	}
 	if sent {
-		s.mptcpArmRTO(sh, f, ms)
+		s.mptcpArmRTO(sh, ms)
 	}
 }
 
@@ -260,7 +261,7 @@ func (s *Sim) mptcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
 				ms.cwnd += float64(newly) * inc
 			}
 		}
-		s.mptcpArmRTO(sh, f, ms)
+		s.mptcpArmRTO(sh, ms)
 	case cum == ms.cumAck && cum < ms.hi:
 		ms.dupacks++
 		if ms.dupacks == 3 && !ms.inRec {
@@ -272,7 +273,7 @@ func (s *Sim) mptcpAckAtSender(sh *Shard, f *flow, ack *Packet) {
 			ms.inRec = true
 			ms.recover = ms.nextNew
 			s.mptcpSendData(sh, f, ms, cum, true)
-			s.mptcpArmRTO(sh, f, ms)
+			s.mptcpArmRTO(sh, ms)
 		} else if ms.inRec {
 			ms.cwnd++
 		}
@@ -301,20 +302,18 @@ func (s *Sim) mptcpUpdateRTT(ms *mptcpSub, sample, rtoMin Time) {
 	}
 }
 
-func (s *Sim) mptcpArmRTO(sh *Shard, f *flow, ms *mptcpSub) {
-	ms.rtoGen++
-	gen := ms.rtoGen
+func (s *Sim) mptcpArmRTO(sh *Shard, ms *mptcpSub) {
 	rto := ms.rto
 	if rto <= 0 {
 		rto = 1 * Millisecond
 	}
-	sh.after(f.srcPart, rto, func(sh *Shard) { s.mptcpRTOFire(sh, f, ms, gen) })
+	ms.timer.arm(sh, rto)
 }
 
-func (s *Sim) mptcpRTOFire(sh *Shard, f *flow, ms *mptcpSub, gen int64) {
+func (s *Sim) mptcpRTOFire(sh *Shard, f *flow, ms *mptcpSub) {
 	// Completion is judged per subflow from sender state alone (the
 	// receiver's done flag lives on another partition).
-	if gen != ms.rtoGen || ms.done() {
+	if ms.done() {
 		return
 	}
 	if ms.cumAck >= ms.nextNew {
@@ -334,5 +333,5 @@ func (s *Sim) mptcpRTOFire(sh *Shard, f *flow, ms *mptcpSub, gen int64) {
 	f.snd.retxCount += int64(ms.nextNew - ms.cumAck)
 	ms.nextNew = ms.cumAck // go-back-N within the subflow
 	s.mptcpTrySend(sh, f, ms)
-	s.mptcpArmRTO(sh, f, ms)
+	s.mptcpArmRTO(sh, ms)
 }

@@ -14,6 +14,8 @@ type Shard struct {
 	eng *Engine
 	id  int32
 	now Time
+	// nowKey is the canonical key of the executing event (see timer.go).
+	nowKey uint64
 
 	heap eventHeap
 
@@ -77,9 +79,14 @@ func (sh *Shard) push(t Time, key uint64, pay eventPayload) {
 // partition and that partition's push counter, so it is identical at every
 // shard count.
 func (sh *Shard) pushLocal(t Time, part int32, pay eventPayload) {
+	sh.push(t, sh.nextKey(part), pay)
+}
+
+// nextKey reserves the next canonical key of partition part.
+func (sh *Shard) nextKey(part int32) uint64 {
 	i := part - sh.partLo
 	sh.seq[i]++
-	sh.push(t, localKey(part, sh.seq[i]), pay)
+	return localKey(part, sh.seq[i])
 }
 
 // at schedules fn at absolute time t on partition part, which must be
@@ -122,8 +129,8 @@ func (sh *Shard) afterDeliver(l *link, p *Packet) {
 
 // step executes the shard's earliest event.
 func (sh *Shard) step() {
-	at, pay := sh.heap.pop()
-	sh.now = at
+	at, key, pay := sh.heap.pop()
+	sh.now, sh.nowKey = at, key
 	sh.executed++
 	if sh.eng.tracer != nil {
 		sh.traceEvent(pay)

@@ -256,6 +256,8 @@ type senderState struct {
 	// Common.
 	nextNew   int32
 	retxCount int64
+	// timer is the TCP/DCTCP retransmission timeout or the NDP keepalive.
+	timer timer
 
 	// NDP.
 	retxQ     []int32
@@ -277,7 +279,6 @@ type senderState struct {
 	dupacks      int
 	inRecovery   bool
 	recover      int32
-	rtoGen       int64
 	rto          Time
 	srtt, rttvar Time
 	sendTime     []Time

@@ -25,6 +25,7 @@ func (s *Sim) tcpStart(sh *Shard, f *flow) {
 	}
 	f.snd.ssthresh = 1 << 20
 	f.snd.alphaWindowEnd = 0
+	f.snd.timer.init(f.srcPart, func(sh *Shard) { s.tcpRTOFire(sh, f) })
 	s.tcpTrySend(sh, f)
 	s.tcpArmRTO(sh, f)
 }
@@ -236,21 +237,18 @@ func (s *Sim) tcpUpdateRTT(f *flow, sample Time) {
 
 // tcpArmRTO (re)arms the retransmission timer on the sender's partition.
 func (s *Sim) tcpArmRTO(sh *Shard, f *flow) {
-	snd := &f.snd
-	snd.rtoGen++
-	gen := snd.rtoGen
-	rto := snd.rto
+	rto := f.snd.rto
 	if rto <= 0 {
 		rto = 1 * Millisecond
 	}
-	sh.after(f.srcPart, rto, func(sh *Shard) { s.tcpRTOFire(sh, f, gen) })
+	f.snd.timer.arm(sh, rto)
 }
 
-func (s *Sim) tcpRTOFire(sh *Shard, f *flow, gen int64) {
+func (s *Sim) tcpRTOFire(sh *Shard, f *flow) {
 	snd := &f.snd
 	// Completion is judged from sender state alone (cumAck): the receiver's
 	// done flag lives on another partition.
-	if gen != snd.rtoGen || snd.cumAck >= f.total {
+	if snd.cumAck >= f.total {
 		return
 	}
 	if snd.cumAck >= snd.nextNew {
