@@ -18,7 +18,7 @@ var windowOccupancyBounds = obs.WindowOccupancyBuckets
 // cause, i.e. at or beyond the window end. Cross-shard events accumulate
 // in per-destination outboxes during the window and merge into the target
 // heaps at the barrier, single-threaded, before the next window begins.
-// The merge order is irrelevant to results: heaps order by the canonical
+// The merge order is irrelevant to results: queues order by the canonical
 // (at, key), which is shard-count-invariant by construction (engine.go).
 
 // runParallel drives the shard workers window by window.
@@ -46,7 +46,7 @@ func (e *Engine) runParallel(until Time) int {
 	for {
 		gvt := maxTime
 		for _, sh := range e.shards {
-			if t := sh.heap.minAt(); t < gvt {
+			if t := sh.q.minAt(); t < gvt {
 				gvt = t
 			}
 		}
@@ -71,7 +71,7 @@ func (e *Engine) runParallel(until Time) int {
 				dst := e.shards[d]
 				for i := range box {
 					dst.push(box[i].at, box[i].key, box[i].pay)
-					box[i] = outEvent{} // drop payload references
+					box[i] = event{} // drop payload references
 				}
 				src.outbox[d] = box[:0]
 			}
@@ -90,7 +90,7 @@ func (e *Engine) runParallel(until Time) int {
 		if sh.now > e.now {
 			e.now = sh.now
 		}
-		if sh.heap.len() > 0 {
+		if sh.q.len() > 0 {
 			empty = false
 		}
 	}

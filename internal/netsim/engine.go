@@ -20,7 +20,7 @@ const (
 	Second      Time = 1000 * 1000 * 1000
 )
 
-// maxTime is the empty-heap sentinel.
+// maxTime is the empty-queue sentinel.
 const maxTime = Time(1<<63 - 1)
 
 // Seconds converts a Time to floating-point seconds.
@@ -124,7 +124,7 @@ func NewShardedEngine(parts, shards int, lookahead Time) *Engine {
 			occ:    make([]int64, len(obs.WindowOccupancyBuckets)+1),
 		}
 		if shards > 1 {
-			sh.outbox = make([][]outEvent, shards)
+			sh.outbox = make([][]event, shards)
 		}
 		e.shards[s] = sh
 	}
@@ -171,11 +171,11 @@ func (e *Engine) Run(until Time) int {
 func (e *Engine) runSerial(until Time) int {
 	sh := e.shards[0]
 	n := 0
-	for sh.heap.len() > 0 && sh.heap.minAt() <= until {
+	for sh.q.len() > 0 && sh.q.minAt() <= until {
 		sh.step()
 		n++
 	}
-	if sh.now < until && sh.heap.len() == 0 {
+	if sh.now < until && sh.q.len() == 0 {
 		sh.now = until
 	}
 	e.now = sh.now
@@ -203,7 +203,7 @@ func (sh *Shard) traceEvent(pay eventPayload) {
 	}
 	tr.Instant("event", name, ts, tid)
 	if sh.executed%64 == 0 {
-		tr.CounterEvent("event_queue_depth", ts, int64(sh.heap.len()))
+		tr.CounterEvent("event_queue_depth", ts, int64(sh.q.len()))
 	}
 }
 
@@ -250,7 +250,7 @@ func (e *Engine) QueueHighWater() int {
 func (e *Engine) Pending() int {
 	n := 0
 	for _, sh := range e.shards {
-		n += sh.heap.len()
+		n += sh.q.len()
 	}
 	return n
 }

@@ -2,9 +2,9 @@ package netsim
 
 // Shard is one worker of the sharded event loop: it owns a contiguous
 // block of partitions (a partition is one router plus its attached hosts),
-// an event heap holding exactly the events that execute on those
+// an event queue holding exactly the events that execute on those
 // partitions, a packet arena, and plain-field tallies. Within a
-// synchronization window a shard drains its heap with no locks and no
+// synchronization window a shard drains its queue with no locks and no
 // atomics — every mutable structure it touches (flow state of hosts it
 // owns, transmit queues of links it owns, its arena) is reached only from
 // events keyed to its partitions. Event callbacks receive the executing
@@ -17,7 +17,7 @@ type Shard struct {
 	// nowKey is the canonical key of the executing event (see timer.go).
 	nowKey uint64
 
-	heap eventHeap
+	q queue
 
 	// Owned partitions form the contiguous range [partLo, partLo+len(seq));
 	// seq holds the per-partition push counters that make local event keys
@@ -27,7 +27,7 @@ type Shard struct {
 
 	// outbox[d] collects cross-shard deliveries destined for shard d during
 	// a window; the coordinator merges them at the barrier.
-	outbox [][]outEvent
+	outbox [][]event
 
 	// Packet arena: a free list fed by chunked allocations. Packets are
 	// allocated on the shard that sends them and recycled on the shard that
@@ -52,13 +52,6 @@ type Shard struct {
 	done chan struct{}
 }
 
-// outEvent is one cross-shard event awaiting the window barrier.
-type outEvent struct {
-	at  Time
-	key uint64
-	pay eventPayload
-}
-
 // Now returns the shard's current simulation time. During a parallel
 // window shards advance independently within the lookahead bound, so this
 // is the only meaningful clock for code running on the shard.
@@ -69,8 +62,13 @@ func (sh *Shard) push(t Time, key uint64, pay eventPayload) {
 	if t < sh.now {
 		t = sh.now
 	}
-	sh.heap.push(t, key, pay)
-	if n := sh.heap.len(); n > sh.queueHW {
+	sh.q.heap.push(t, key, pay)
+	sh.noteDepth()
+}
+
+// noteDepth updates the queue high-water mark after a push.
+func (sh *Shard) noteDepth() {
+	if n := sh.q.len(); n > sh.queueHW {
 		sh.queueHW = n
 	}
 }
@@ -113,7 +111,9 @@ func (sh *Shard) afterTxDone(d Time, l *link, p *Packet) {
 // Delivery keys fold the (globally stable) link id and a per-link sequence
 // instead of a partition counter, so the merge order at the barrier — and
 // hence execution order — is identical at every shard count, including
-// when transmitter and receiver share a shard.
+// when transmitter and receiver share a shard. Same-shard deliveries take
+// the queue's FIFO lane (queue.go); cross-shard ones reach the target's
+// heap at the barrier.
 func (sh *Shard) afterDeliver(l *link, p *Packet) {
 	t := sh.now + l.delay
 	l.deliverSeq++
@@ -121,15 +121,16 @@ func (sh *Shard) afterDeliver(l *link, p *Packet) {
 	pay := eventPayload{kind: evDeliver, link: l, pkt: p}
 	dst := sh.eng.partShard[l.rxPart]
 	if dst == sh.id {
-		sh.push(t, key, pay)
+		sh.q.pushLane(t, key, pay)
+		sh.noteDepth()
 		return
 	}
-	sh.outbox[dst] = append(sh.outbox[dst], outEvent{at: t, key: key, pay: pay})
+	sh.outbox[dst] = append(sh.outbox[dst], event{at: t, key: key, pay: pay})
 }
 
 // step executes the shard's earliest event.
 func (sh *Shard) step() {
-	at, key, pay := sh.heap.pop()
+	at, key, pay := sh.q.pop()
 	sh.now, sh.nowKey = at, key
 	sh.executed++
 	if sh.eng.tracer != nil {
@@ -154,8 +155,8 @@ func (sh *Shard) step() {
 // number of events executed.
 func (sh *Shard) drain(wend, until Time) int64 {
 	n0 := sh.executed
-	for sh.heap.len() > 0 {
-		t := sh.heap.minAt()
+	for sh.q.len() > 0 {
+		t := sh.q.minAt()
 		if t >= wend || t > until {
 			break
 		}
