@@ -61,8 +61,8 @@ type link struct {
 	ecnThresh int // mark CE when data queue length reaches this (0 = off)
 	trimMode  bool
 
-	q          []*Packet
-	pq         []*Packet
+	q          fifo[*Packet] // data queue
+	pq         fifo[*Packet] // priority queue
 	busy       bool
 	failed     bool // dead cable: every packet handed to it is lost (§V-G)
 	deliverSeq uint32
@@ -89,8 +89,8 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		return
 	}
 	if p.prio() {
-		if len(l.pq) < l.pqcap {
-			l.pq = append(l.pq, p)
+		if l.pq.len() < l.pqcap {
+			l.pq.push(p)
 			l.kick(sh)
 		} else {
 			l.Drops++
@@ -98,11 +98,11 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		}
 		return
 	}
-	if len(l.q) < l.qcap {
-		if l.ecnThresh > 0 && len(l.q)+1 >= l.ecnThresh {
+	if l.q.len() < l.qcap {
+		if l.ecnThresh > 0 && l.q.len()+1 >= l.ecnThresh {
 			p.ECN = true
 		}
-		l.q = append(l.q, p)
+		l.q.push(p)
 		l.kick(sh)
 		return
 	}
@@ -111,9 +111,9 @@ func (l *link) enqueue(sh *Shard, p *Packet) {
 		// and prioritized so the receiver learns about the congestion.
 		p.Trimmed = true
 		p.Bytes = HeaderBytes
-		if len(l.pq) < l.pqcap {
+		if l.pq.len() < l.pqcap {
 			l.Trims++
-			l.pq = append(l.pq, p)
+			l.pq.push(p)
 			l.kick(sh)
 		} else {
 			l.Drops++
@@ -132,12 +132,10 @@ func (l *link) kick(sh *Shard) {
 		return
 	}
 	var p *Packet
-	if len(l.pq) > 0 {
-		p = l.pq[0]
-		l.pq = l.pq[1:]
-	} else if len(l.q) > 0 {
-		p = l.q[0]
-		l.q = l.q[1:]
+	if l.pq.len() > 0 {
+		p = l.pq.pop()
+	} else if l.q.len() > 0 {
+		p = l.q.pop()
 	} else {
 		return
 	}
@@ -150,7 +148,7 @@ func (l *link) kick(sh *Shard) {
 }
 
 // queueLen reports the current data-queue occupancy (tests/observability).
-func (l *link) queueLen() int { return len(l.q) }
+func (l *link) queueLen() int { return l.q.len() }
 
 // Network wires a topology, forwarding tables and hosts into a running
 // simulation.
