@@ -26,16 +26,17 @@ const maxTime = Time(1<<63 - 1)
 // Seconds converts a Time to floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// eventKind discriminates the event payload. The two link events carry
+// eventKind discriminates the event payload. The packet events carry
 // their operands inline instead of in a closure: every packet transmission
 // schedules two events per hop, so avoiding those closure allocations is
 // the simulator's single largest allocation saving per replicate.
 type eventKind uint8
 
 const (
-	evFunc    eventKind = iota // generic callback
+	evFunc    eventKind = iota // generic callback (flow starts, timers)
 	evTxDone                   // link finished serializing pkt; start next, then deliver
 	evDeliver                  // pkt arrives at the far end of link
+	evSend                     // paced send: pkt enters its source host's uplink link
 )
 
 // Canonical event keys. Same-time events execute in ascending key order,
@@ -183,7 +184,7 @@ func (e *Engine) runSerial(until Time) int {
 }
 
 // eventTraceName maps event kinds onto trace slice names.
-var eventTraceName = [...]string{evFunc: "timer", evTxDone: "tx-done", evDeliver: "deliver"}
+var eventTraceName = [...]string{evFunc: "timer", evTxDone: "tx-done", evDeliver: "deliver", evSend: "send"}
 
 // traceEvent records one executed event in the engine's trace window, plus
 // a periodic event-queue-depth counter track. Packet events land on a tid

@@ -20,8 +20,8 @@ package netsim
 type eventPayload struct {
 	kind eventKind
 	fn   func(*Shard) // evFunc only
-	link *link        // evTxDone, evDeliver
-	pkt  *Packet      // evTxDone, evDeliver
+	link *link        // evTxDone, evDeliver, evSend
+	pkt  *Packet      // evTxDone, evDeliver, evSend
 }
 
 type eventHeap struct {

@@ -32,7 +32,8 @@ func (s *Sim) ndpStart(sh *Shard, f *flow) {
 		f.snd.nextNew++
 	}
 	f.snd.lastAct = sh.Now()
-	s.ndpKeepalive(sh, f)
+	f.snd.timer.init(f.srcPart, func(sh *Shard) { s.ndpKeepalive(sh, f) })
+	f.snd.timer.arm(sh, ndpIdlePeriods*s.Cfg.RTOMin)
 }
 
 // ndpSendData transmits one data packet (possibly a retransmission).
@@ -138,7 +139,7 @@ func (s *Sim) ndpSendPull(sh *Shard, f *flow, seq int32, wasTrimmed, layerChange
 		ECN:     layerChange, // repurposed bit: "change layer" hint
 		Fin:     fin,
 	}
-	sh.at(f.dstPart, at, func(sh *Shard) { s.Net.sendFromHost(sh, pull) })
+	sh.pushLocal(at, f.dstPart, eventPayload{kind: evSend, link: s.Net.hostUp[host], pkt: pull})
 }
 
 func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
@@ -177,35 +178,37 @@ func (s *Sim) ndpPullAtSender(sh *Shard, f *flow, pull *Packet) {
 	}
 }
 
+// ndpIdlePeriods is the keepalive period in RTOmin units.
+const ndpIdlePeriods = 4
+
 // ndpKeepalive recovers from lost control packets: if nothing happened for
 // several RTOmin periods and the flow is incomplete, resend the lowest
-// sequence not known to be delivered.
+// sequence not known to be delivered. It re-arms itself every period
+// until the FIN latch is set.
 func (s *Sim) ndpKeepalive(sh *Shard, f *flow) {
-	const idlePeriods = 4
-	sh.after(f.srcPart, Time(idlePeriods)*s.Cfg.RTOMin, func(sh *Shard) {
-		if f.snd.finished {
-			return
-		}
-		if sh.Now()-f.snd.lastAct >= Time(idlePeriods)*s.Cfg.RTOMin {
-			// Rotate through undelivered sequences rather than hammering
-			// the lowest one: with lossy control paths the lowest may have
-			// arrived long ago while a later one is genuinely missing.
-			for probe := int32(0); probe < f.snd.nextNew; probe++ {
-				seq := (f.snd.kaNext + probe) % f.snd.nextNew
-				if !f.snd.delivered[seq] {
-					s.ndpSendData(sh, f, seq, true)
-					f.snd.kaNext = seq + 1
-					break
-				}
+	if f.snd.finished {
+		return
+	}
+	idle := ndpIdlePeriods * s.Cfg.RTOMin
+	if sh.Now()-f.snd.lastAct >= idle {
+		// Rotate through undelivered sequences rather than hammering the
+		// lowest one: with lossy control paths the lowest may have arrived
+		// long ago while a later one is genuinely missing.
+		for probe := int32(0); probe < f.snd.nextNew; probe++ {
+			seq := (f.snd.kaNext + probe) % f.snd.nextNew
+			if !f.snd.delivered[seq] {
+				s.ndpSendData(sh, f, seq, true)
+				f.snd.kaNext = seq + 1
+				break
 			}
-			if f.snd.nextNew < f.total {
-				// Also nudge a new packet in case all sent ones arrived but
-				// their pulls were lost.
-				s.ndpSendData(sh, f, f.snd.nextNew, false)
-				f.snd.nextNew++
-			}
-			f.snd.lastAct = sh.Now()
 		}
-		s.ndpKeepalive(sh, f)
-	})
+		if f.snd.nextNew < f.total {
+			// Also nudge a new packet in case all sent ones arrived but
+			// their pulls were lost.
+			s.ndpSendData(sh, f, f.snd.nextNew, false)
+			f.snd.nextNew++
+		}
+		f.snd.lastAct = sh.Now()
+	}
+	f.snd.timer.arm(sh, idle)
 }

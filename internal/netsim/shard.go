@@ -93,11 +93,6 @@ func (sh *Shard) at(part int32, t Time, fn func(*Shard)) {
 	sh.pushLocal(t, part, eventPayload{kind: evFunc, fn: fn})
 }
 
-// after schedules fn after delay d on partition part.
-func (sh *Shard) after(part int32, d Time, fn func(*Shard)) {
-	sh.at(part, sh.now+d, fn)
-}
-
 // afterTxDone schedules the end of a packet's serialization on a link the
 // shard owns (the transmit side of l lives on partition l.txPart).
 func (sh *Shard) afterTxDone(d Time, l *link, p *Packet) {
@@ -146,6 +141,8 @@ func (sh *Shard) step() {
 		sh.afterDeliver(l, pay.pkt)
 	case evDeliver:
 		pay.link.net.deliver(sh, pay.link, pay.pkt)
+	case evSend:
+		pay.link.net.sendFromHost(sh, pay.pkt)
 	}
 }
 
