@@ -306,6 +306,51 @@ func BenchmarkNetsimReplicate(b *testing.B) {
 	}
 }
 
+// BenchmarkEventQueue measures the event loop's cost per event for each
+// transport on one fig14-shaped cell: SF q=5, FatPaths n=4 ρ=0.6, the
+// adversarial off-diagonal pattern, 200 KB flows with synchronized
+// starts. It reports ns/event (wall time over executed events, set-up
+// included) and queue-hw, the event-queue high-water mark.
+func BenchmarkEventQueue(b *testing.B) {
+	sf, err := topo.SlimFly(5, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	fab, err := core.Build(sf, core.Config{NumLayers: 4, Rho: 0.6, Scheme: core.RandomSampling})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pat := traffic.AdversarialOffDiagonal(sf)
+	for _, tc := range []struct {
+		name string
+		cfg  netsim.Config
+	}{
+		{"tcp", netsim.TCPDefaults(netsim.TransportTCP)},
+		{"dctcp", netsim.TCPDefaults(netsim.TransportDCTCP)},
+		{"mptcp", netsim.TCPDefaults(netsim.TransportMPTCP)},
+		{"ndp", netsim.NDPDefaults()},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			var events int64
+			hw := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sim := fab.NewSimulation(tc.cfg)
+				for _, fl := range pat.Flows {
+					sim.AddFlow(netsim.FlowSpec{Src: fl.Src, Dst: fl.Dst, Bytes: 200e3})
+				}
+				if netsim.CompletedFraction(sim.Run(12*netsim.Second)) < 1 {
+					b.Fatal("flows did not complete")
+				}
+				events += sim.Eng.Executed()
+				hw = max(hw, sim.Eng.QueueHighWater())
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+			b.ReportMetric(float64(hw), "queue-hw")
+		})
+	}
+}
+
 // BenchmarkScenarioCache measures the durable sweep runtime end to end on
 // one small matrix: cold runs simulate every cell and populate a fresh
 // content-addressed cache; warm runs satisfy every cell from it. The

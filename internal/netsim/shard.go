@@ -66,6 +66,12 @@ func (sh *Shard) push(t Time, key uint64, pay eventPayload) {
 	sh.noteDepth()
 }
 
+// pushLane queues an event on the FIFO lane (queue.go).
+func (sh *Shard) pushLane(t Time, key uint64, pay eventPayload) {
+	sh.q.pushLane(t, key, pay)
+	sh.noteDepth()
+}
+
 // noteDepth updates the queue high-water mark after a push.
 func (sh *Shard) noteDepth() {
 	if n := sh.q.len(); n > sh.queueHW {
@@ -116,8 +122,7 @@ func (sh *Shard) afterDeliver(l *link, p *Packet) {
 	pay := eventPayload{kind: evDeliver, link: l, pkt: p}
 	dst := sh.eng.partShard[l.rxPart]
 	if dst == sh.id {
-		sh.q.pushLane(t, key, pay)
-		sh.noteDepth()
+		sh.pushLane(t, key, pay)
 		return
 	}
 	sh.outbox[dst] = append(sh.outbox[dst], event{at: t, key: key, pay: pay})
