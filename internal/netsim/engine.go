@@ -36,7 +36,7 @@ const (
 	evFunc    eventKind = iota // generic callback (flow starts, timers)
 	evTxDone                   // link finished serializing pkt; start next, then deliver
 	evDeliver                  // pkt arrives at the far end of link
-	evSend                     // paced send: pkt enters its source host's uplink link
+	evSend                     // paced send: pkt enters link, its source host's uplink
 )
 
 // Canonical event keys. Same-time events execute in ascending key order,
