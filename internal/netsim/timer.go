@@ -44,7 +44,8 @@ func (t *timer) arm(sh *Shard, d Time) {
 	at := sh.now + d
 	key := sh.nextKey(t.part)
 	t.at, t.key = at, key
-	if t.queued && (at > t.qAt || at == t.qAt && key > t.qKey) {
+	// Keys only grow, so a deadline at the queued entry's time is later.
+	if t.queued && at >= t.qAt {
 		return // the queued entry re-pushes itself when it pops
 	}
 	t.queue(sh, at, key)
@@ -58,7 +59,7 @@ func (t *timer) queue(sh *Shard, at Time, key uint64) {
 // pop runs when one of the timer's queue entries executes.
 func (t *timer) pop(sh *Shard) {
 	if !t.queued || sh.nowKey != t.qKey {
-		return // orphan: an earlier arm superseded this entry
+		return // orphan, superseded by an arm with an earlier deadline
 	}
 	t.queued = false
 	if t.key != t.qKey {
