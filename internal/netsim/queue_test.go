@@ -157,8 +157,7 @@ func TestTimerMatchesEventPerArm(t *testing.T) {
 		}
 		return []Time{30, 10}[n-1], true
 	}
-	mk := func(part int32, fire func(*Shard)) armer { return newTimer(part, fire) }
-	got, gotN := runTimerScript(t, mk, steps, 1, handRearm)
+	got, gotN := runTimerScript(t, newTimer, steps, 1, handRearm)
 	want, wantN := runTimerScript(t, newEventPerArm, steps, 1, handRearm)
 	if !slices.Equal(got, want) {
 		t.Fatalf("timer executed\n  %v\nevent per arm executed\n  %v", got, want)
@@ -179,7 +178,7 @@ func TestTimerMatchesEventPerArm(t *testing.T) {
 
 	for seed := uint64(1); seed <= 20; seed++ {
 		steps := randomScript(seed*1000, 400, 5)
-		got, gotN := runTimerScript(t, mk, steps, 5, hashRearm)
+		got, gotN := runTimerScript(t, newTimer, steps, 5, hashRearm)
 		want, wantN := runTimerScript(t, newEventPerArm, steps, 5, hashRearm)
 		if !slices.Equal(got, want) {
 			for i := range min(len(got), len(want)) {
